@@ -1,9 +1,9 @@
 # make check mirrors .github/workflows/ci.yml for local runs.
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-json bench-serve staticcheck recovery-smoke
+.PHONY: check fmt vet build test race perfbench bench bench-smoke bench-json bench-serve staticcheck recovery-smoke
 
-check: fmt vet build test race
+check: fmt vet build test race perfbench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,6 +25,12 @@ test:
 race:
 	$(GO) test -race -timeout 25m ./internal/serve/ ./internal/gateway/ ./internal/mpi/ ./internal/clientserver/ ./internal/checkpoint/ ./internal/cluster/ ./internal/telemetry/ ./internal/nn/ ./internal/tensor/
 	$(GO) test -race -timeout 25m -run 'Async|Staleness' ./internal/core/
+
+# The benchmark harness is a nested module, so the root ./... never
+# compiles it; vet and test it on its own so an internal/ API change
+# cannot break the benchmark build silently.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -243,9 +243,10 @@ func BenchmarkGeneratorForward(b *testing.B) {
 	g := core.BuildGenerator(cfg, rng)
 	z := tensor.New(cfg.BatchSize, cfg.InputNeurons)
 	tensor.GaussianFill(z, 0, 1, rng)
+	ws := nn.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Forward(z)
+		_ = g.ForwardWS(ws, z)
 	}
 }
 
@@ -256,12 +257,13 @@ func BenchmarkDiscriminatorForwardBackward(b *testing.B) {
 	x := tensor.New(cfg.BatchSize, cfg.OutputNeurons)
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.Full(cfg.BatchSize, 1, 1)
+	ws := nn.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.ZeroGrads()
-		logits := d.Forward(x)
+		logits := d.ForwardWS(ws, x)
 		_, grad := nn.BCEWithLogitsLoss(logits, y)
-		d.Backward(grad)
+		d.BackwardWS(ws, grad)
 	}
 }
 

@@ -41,7 +41,6 @@ func main() {
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "how long a worker waits to coalesce more requests")
 	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request timeout")
 	seed := flag.Uint64("seed", 1, "latent-sampling seed")
-	f32 := flag.Bool("f32", false, "serve forward passes on the float32 kernel tier (outputs match float64 only to float32 precision)")
 	shard := flag.String("shard", "", "serve only shard i/n of each mixture, e.g. 0/3 (weights renormalized)")
 	loadtest := flag.Bool("loadtest", false, "run an in-process load test instead of serving")
 	clients := flag.Int("clients", 32, "loadtest: concurrent clients")
@@ -60,7 +59,6 @@ func main() {
 		QueueSize:       *queue,
 		BatchWait:       *batchWait,
 		Seed:            *seed,
-		Float32:         *f32,
 	}
 	shardIdx, shardOf, err := parseShard(*shard)
 	if err != nil {

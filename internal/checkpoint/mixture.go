@@ -73,7 +73,10 @@ func ExportMixture(res *core.Result, rank int) (*MixtureArtifact, error) {
 	return a, nil
 }
 
-// validate reports the first structural error in the artifact.
+// validate reports the first structural error in the artifact, or a
+// non-finite generator parameter: one NaN weight turns every sample the
+// generator draws into NaN, so such an artifact is refused on every
+// write, read, shard and load path exactly like a torn one.
 func (a *MixtureArtifact) validate() error {
 	if err := a.Cfg.Validate(); err != nil {
 		return err
@@ -88,6 +91,21 @@ func (a *MixtureArtifact) validate() error {
 	for _, w := range a.Weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			return fmt.Errorf("checkpoint: mixture weight %g is not a probability", w)
+		}
+	}
+	for i, blob := range a.GenParams {
+		// A blob that does not decode is left to Mixture, whose decode
+		// against the generator architecture rejects it.
+		ms, err := tensor.DecodeMats(bytes.NewReader(blob))
+		if err != nil {
+			continue
+		}
+		for _, m := range ms {
+			for _, v := range m.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("checkpoint: generator of mixture member %d has non-finite parameter %g", a.Ranks[i], v)
+				}
+			}
 		}
 	}
 	return nil

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -215,5 +217,63 @@ func TestExportMixtureValidation(t *testing.T) {
 	}
 	if _, err := ExportMixture(res, len(res.Cells)); err == nil {
 		t.Fatal("out-of-range rank accepted")
+	}
+}
+
+// TestMixtureRejectsNonFiniteGeneratorParams poisons one generator weight
+// with NaN (and, separately, +Inf) and requires every artifact path — write,
+// read of correctly checksummed bytes, reconstruction, sharding, hashing and
+// file load — to refuse it: one such weight turns every sample NaN.
+func TestMixtureRejectsNonFiniteGeneratorParams(t *testing.T) {
+	_, clean := trainedArtifact(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		ms, err := tensor.DecodeMats(bytes.NewReader(clean.GenParams[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[len(ms)-1].Data[0] = bad
+		var blob bytes.Buffer
+		if err := tensor.EncodeMats(&blob, ms); err != nil {
+			t.Fatal(err)
+		}
+		a := *clean
+		a.GenParams = append([][]byte{blob.Bytes()}, clean.GenParams[1:]...)
+
+		if err := WriteMixture(new(bytes.Buffer), &a); err == nil {
+			t.Fatalf("%g: WriteMixture accepted a non-finite generator", bad)
+		}
+		if _, err := a.Mixture(); err == nil {
+			t.Fatalf("%g: Mixture accepted a non-finite generator", bad)
+		}
+		if _, err := ShardMixture(&a, 0, 1); err == nil {
+			t.Fatalf("%g: ShardMixture accepted a non-finite generator", bad)
+		}
+		if _, err := HashMixture(&a); err == nil {
+			t.Fatalf("%g: HashMixture accepted a non-finite generator", bad)
+		}
+
+		// Bytes with a valid checksum footer, as a buggy exporter would
+		// write them: the footer passes, the parameters must not.
+		var file bytes.Buffer
+		if err := writeWithFooter(&file, func(w io.Writer) error { return writeMixtureBody(w, &a) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMixture(bytes.NewReader(file.Bytes())); err == nil {
+			t.Fatalf("%g: ReadMixture accepted a non-finite generator", bad)
+		}
+		path := filepath.Join(t.TempDir(), "poisoned.mix")
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadMixtureFile(path); err == nil {
+			t.Fatalf("%g: LoadMixtureFile accepted a non-finite generator", bad)
+		}
+	}
+	// The clean artifact still passes every path.
+	if err := WriteMixture(new(bytes.Buffer), clean); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.Mixture(); err != nil {
+		t.Fatal(err)
 	}
 }

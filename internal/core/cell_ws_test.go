@@ -8,31 +8,30 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// TestCellIterateBitExactWithWorkspace trains two same-seed cells — one on
-// the workspace path, one with the workspace disabled (allocating
-// fallback) — and requires identical per-iteration stats and a
-// byte-identical full-state checkpoint. This is the end-to-end form of the
-// refactor's bit-exactness invariant.
+// TestCellIterateBitExactWithWorkspace trains two same-seed cells — one
+// reusing its workspace, one handed a fresh workspace every iteration — and
+// requires identical per-iteration stats and a byte-identical full-state
+// checkpoint: buffer reuse must never leak into training results.
 func TestCellIterateBitExactWithWorkspace(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.LossSet = "bce,minimax,lsgan,wgan" // exercise every loss's WS path
 	cfg.LossMutationProbability = 0.5
 
 	cWS, _ := newTestCell(t, cfg, 0)
-	cAlloc, _ := newTestCell(t, cfg, 0)
-	cAlloc.ws = nil // test hook: every call site falls back to allocating
+	cFresh, _ := newTestCell(t, cfg, 0)
 
 	for i := 0; i < 4; i++ {
 		sWS, err := cWS.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sAlloc, err := cAlloc.Iterate()
+		cFresh.ws = newCellWorkspace()
+		sFresh, err := cFresh.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sWS != sAlloc {
-			t.Fatalf("iteration %d stats diverge:\nws:    %+v\nalloc: %+v", i, sWS, sAlloc)
+		if sWS != sFresh {
+			t.Fatalf("iteration %d stats diverge:\nws:    %+v\nfresh: %+v", i, sWS, sFresh)
 		}
 	}
 
@@ -40,39 +39,40 @@ func TestCellIterateBitExactWithWorkspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fAlloc, err := cAlloc.FullState()
+	fFresh, err := cFresh.FullState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fWS.Marshal(), fAlloc.Marshal()) {
-		t.Fatal("workspace-path checkpoint differs from allocating-path checkpoint")
+	if !bytes.Equal(fWS.Marshal(), fFresh.Marshal()) {
+		t.Fatal("reused-workspace checkpoint differs from fresh-workspace checkpoint")
 	}
 }
 
 // TestCNNCellIterateBitExactWithWorkspace is the convolutional form of the
-// invariant above: a CNN genome (DCGAN-style conv stacks) trained through
-// the im2col scratch path must match the allocating direct-loop path
-// bit for bit, stats and checkpoint alike.
+// invariant above: a CNN genome (DCGAN-style conv stacks) whose im2col
+// scratch buffers are reused must match one on fresh buffers every
+// iteration bit for bit, stats and checkpoint alike. (The im2col lowering
+// itself is checked against the direct-loop oracle in internal/nn.)
 func TestCNNCellIterateBitExactWithWorkspace(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NetworkType = "CNN"
 	cfg.BatchSize = 4
 
 	cWS, _ := newTestCell(t, cfg, 0)
-	cAlloc, _ := newTestCell(t, cfg, 0)
-	cAlloc.ws = nil // test hook: every call site falls back to allocating
+	cFresh, _ := newTestCell(t, cfg, 0)
 
 	for i := 0; i < 2; i++ {
 		sWS, err := cWS.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sAlloc, err := cAlloc.Iterate()
+		cFresh.ws = newCellWorkspace()
+		sFresh, err := cFresh.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sWS != sAlloc {
-			t.Fatalf("iteration %d stats diverge:\nws:    %+v\nalloc: %+v", i, sWS, sAlloc)
+		if sWS != sFresh {
+			t.Fatalf("iteration %d stats diverge:\nws:    %+v\nfresh: %+v", i, sWS, sFresh)
 		}
 	}
 
@@ -80,12 +80,12 @@ func TestCNNCellIterateBitExactWithWorkspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fAlloc, err := cAlloc.FullState()
+	fFresh, err := cFresh.FullState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fWS.Marshal(), fAlloc.Marshal()) {
-		t.Fatal("CNN workspace-path checkpoint differs from allocating-path checkpoint")
+	if !bytes.Equal(fWS.Marshal(), fFresh.Marshal()) {
+		t.Fatal("CNN reused-workspace checkpoint differs from fresh-workspace checkpoint")
 	}
 }
 
@@ -106,8 +106,8 @@ func mixtureForTest(t *testing.T) (*Mixture, *nn.Network) {
 	return m, disc
 }
 
-// TestSampleWithBitIdentical checks SampleWith against Sample from equal
-// RNG states, including reuse of the same workspace across calls.
+// TestSampleWithBitIdentical checks SampleWith on a reused workspace
+// against Sample (a fresh workspace) from equal RNG states.
 func TestSampleWithBitIdentical(t *testing.T) {
 	m, _ := mixtureForTest(t)
 	ws := NewSampleWorkspace()
@@ -120,10 +120,11 @@ func TestSampleWithBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEvolveWeightsWSBitIdentical runs the (1+1)-ES through both paths on
-// twin mixtures and demands identical weights and fitness trajectories —
-// including across accepted proposals, where the workspace path recycles
-// the displaced weights slice.
+// TestEvolveWeightsWSBitIdentical runs the (1+1)-ES on twin mixtures — one
+// reusing a workspace, one on a fresh workspace every step — and demands
+// identical weights and fitness trajectories, including across accepted
+// proposals, where the reused workspace recycles the displaced weights
+// slice.
 func TestEvolveWeightsWSBitIdentical(t *testing.T) {
 	mA, disc := mixtureForTest(t)
 	mB, _ := mixtureForTest(t)
@@ -132,10 +133,10 @@ func TestEvolveWeightsWSBitIdentical(t *testing.T) {
 	rngB := tensor.NewRNG(81)
 	accepted := 0
 	for i := 0; i < 12; i++ {
-		fitA, okA := mA.EvolveWeightsWS(ws, disc, 0.3, 8, 4, rngA)
-		fitB, okB := mB.EvolveWeights(disc, 0.3, 8, 4, rngB)
+		fitA, okA := mA.EvolveWeights(ws, disc, 0.3, 8, 4, rngA)
+		fitB, okB := mB.EvolveWeights(NewSampleWorkspace(), disc, 0.3, 8, 4, rngB)
 		if fitA != fitB || okA != okB {
-			t.Fatalf("step %d: WS (%v,%v) vs alloc (%v,%v)", i, fitA, okA, fitB, okB)
+			t.Fatalf("step %d: reused (%v,%v) vs fresh (%v,%v)", i, fitA, okA, fitB, okB)
 		}
 		if okA {
 			accepted++

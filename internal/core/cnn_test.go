@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cellgan/internal/grid"
+	"cellgan/internal/nn"
 	"cellgan/internal/tensor"
 )
 
@@ -19,14 +20,14 @@ func TestCNNBuildersShapes(t *testing.T) {
 	d := BuildDiscriminator(cfg, rng)
 	z := tensor.New(2, cfg.InputNeurons)
 	tensor.GaussianFill(z, 0, 1, rng)
-	img := g.Forward(z)
+	img := g.ForwardWS(nn.NewWorkspace(), z)
 	if img.Rows != 2 || img.Cols != 784 {
 		t.Fatalf("CNN generator output %d×%d", img.Rows, img.Cols)
 	}
 	if img.Max() > 1 || img.Min() < -1 {
 		t.Fatal("CNN generator escaped tanh range")
 	}
-	logits := d.Forward(img)
+	logits := d.ForwardWS(nn.NewWorkspace(), img)
 	if logits.Rows != 2 || logits.Cols != 1 {
 		t.Fatalf("CNN discriminator output %d×%d", logits.Rows, logits.Cols)
 	}

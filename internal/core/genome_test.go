@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cellgan/internal/config"
+	"cellgan/internal/nn"
 	"cellgan/internal/tensor"
 )
 
@@ -21,14 +22,14 @@ func TestBuildNetworksShapes(t *testing.T) {
 
 	z := tensor.New(3, cfg.InputNeurons)
 	tensor.GaussianFill(z, 0, 1, rng)
-	img := g.Forward(z)
+	img := g.ForwardWS(nn.NewWorkspace(), z)
 	if img.Rows != 3 || img.Cols != cfg.OutputNeurons {
 		t.Fatalf("generator output %d×%d", img.Rows, img.Cols)
 	}
 	if img.Max() > 1 || img.Min() < -1 {
 		t.Fatal("generator output escaped tanh range")
 	}
-	logits := d.Forward(img)
+	logits := d.ForwardWS(nn.NewWorkspace(), img)
 	if logits.Rows != 3 || logits.Cols != 1 {
 		t.Fatalf("discriminator output %d×%d", logits.Rows, logits.Cols)
 	}

@@ -76,12 +76,10 @@ type SampleWorkspace struct {
 	z    *tensor.Mat   // per-component latent batch
 	out  *tensor.Mat   // assembled sample batch
 
-	loss *lossScratch // fitness target + discarded gradient
+	loss lossScratch // fitness target + discarded gradient
 
 	assign, counts, starts, idx, order []int
 	proposal                           []float64
-
-	z32 *tensor.Mat32 // float32 latent staging (Mixture32 path only)
 }
 
 // NewSampleWorkspace returns an empty workspace; buffers grow on first use.
@@ -91,7 +89,6 @@ func NewSampleWorkspace() *SampleWorkspace {
 		disc: nn.NewWorkspace(),
 		z:    new(tensor.Mat),
 		out:  new(tensor.Mat),
-		loss: &lossScratch{},
 	}
 }
 
@@ -115,28 +112,57 @@ func floatsFor(buf *[]float64, n int) []float64 {
 }
 
 // Sample draws n latent vectors and routes each through a generator chosen
-// according to the mixture weights, returning the n×Pixels batch.
+// according to the mixture weights, returning the n×Pixels batch. It is
+// SampleWith on a throwaway workspace.
 func (m *Mixture) Sample(n, latentDim int, rng *tensor.RNG) *tensor.Mat {
-	return m.SampleWith(nil, n, latentDim, rng)
+	return m.SampleWith(NewSampleWorkspace(), n, latentDim, rng)
 }
 
-// SampleWith is Sample drawing every buffer from ws. A nil ws allocates
-// fresh buffers, reproducing Sample. The returned matrix aliases ws.out
-// and is only valid until the next SampleWith call on the same workspace.
-// The RNG consumption (n Float64 draws, then one GaussianFill per
-// populated component in rank order) is identical to Sample's, so the two
-// paths produce bit-identical batches from equal RNG states.
+// SampleWith is Sample drawing every buffer from ws. The returned matrix
+// aliases ws.out and is only valid until the next SampleWith call on the
+// same workspace. RNG consumption: n Float64 draws assign the samples to
+// components by weight, then one GaussianFill per populated component in
+// rank order draws its latent batch.
 func (m *Mixture) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat {
-	if ws == nil {
-		// Throwaway workspace: nil nn workspaces keep the network forwards
-		// on their allocating paths.
-		ws = &SampleWorkspace{z: new(tensor.Mat), out: new(tensor.Mat)}
-	}
 	out := ws.out.Resize(n, m.outputDim())
 	if n <= 0 {
 		return out
 	}
-	counts, starts, order := routeSamples(ws, m.Weights, n, rng)
+	// Group the samples by component: counts[j] samples for component j,
+	// packed from starts[j], with order[starts[j]+k] the output row of the
+	// k-th grouped sample.
+	assign := intsFor(&ws.assign, n)
+	counts := intsFor(&ws.counts, len(m.Weights))
+	for j := range counts {
+		counts[j] = 0
+	}
+	for i := range assign {
+		u := rng.Float64()
+		acc := 0.0
+		comp := len(m.Weights) - 1
+		for j, w := range m.Weights {
+			acc += w
+			if u < acc {
+				comp = j
+				break
+			}
+		}
+		assign[i] = comp
+		counts[comp]++
+	}
+	offset := 0
+	starts := intsFor(&ws.starts, len(m.Weights))
+	for j := range starts {
+		starts[j] = offset
+		offset += counts[j]
+	}
+	order := intsFor(&ws.order, n)
+	idx := intsFor(&ws.idx, len(m.Weights))
+	copy(idx, starts)
+	for i, comp := range assign {
+		order[idx[comp]] = i
+		idx[comp]++
+	}
 	for j, g := range m.Generators {
 		if counts[j] == 0 {
 			continue
@@ -149,48 +175,6 @@ func (m *Mixture) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tensor.
 		}
 	}
 	return out
-}
-
-// routeSamples assigns each of n samples to a component by weight (one
-// rng.Float64 per sample, in order) and computes the grouped layout:
-// counts[j] samples for component j, packed starting at starts[j], with
-// order[starts[j]+k] giving the output row of the k-th grouped sample.
-// Shared by the float64 and float32 sampling paths so both consume the
-// RNG stream identically. All slices alias ws buffers.
-func routeSamples(ws *SampleWorkspace, weights []float64, n int, rng *tensor.RNG) (counts, starts, order []int) {
-	assign := intsFor(&ws.assign, n)
-	counts = intsFor(&ws.counts, len(weights))
-	for j := range counts {
-		counts[j] = 0
-	}
-	for i := range assign {
-		u := rng.Float64()
-		acc := 0.0
-		comp := len(weights) - 1
-		for j, w := range weights {
-			acc += w
-			if u < acc {
-				comp = j
-				break
-			}
-		}
-		assign[i] = comp
-		counts[comp]++
-	}
-	offset := 0
-	starts = intsFor(&ws.starts, len(weights))
-	for j := range starts {
-		starts[j] = offset
-		offset += counts[j]
-	}
-	order = intsFor(&ws.order, n) // output row for each grouped sample
-	idx := intsFor(&ws.idx, len(weights))
-	copy(idx, starts)
-	for i, comp := range assign {
-		order[idx[comp]] = i
-		idx[comp]++
-	}
-	return counts, starts, order
 }
 
 func (m *Mixture) outputDim() int { return m.Generators[0].OutputWidth() }
@@ -215,61 +199,39 @@ func (m *Mixture) Clone() *Mixture {
 }
 
 // Fitness scores the mixture against a discriminator: the non-saturating
-// generator loss of mixture samples (lower is better).
-func (m *Mixture) Fitness(disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
-	return m.FitnessWS(nil, disc, n, latentDim, rng)
-}
-
-// FitnessWS is Fitness drawing every buffer from ws (nil ws allocates).
-func (m *Mixture) FitnessWS(ws *SampleWorkspace, disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
+// generator loss of mixture samples (lower is better). Every buffer comes
+// from ws.
+func (m *Mixture) Fitness(ws *SampleWorkspace, disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
 	fake := m.SampleWith(ws, n, latentDim, rng)
-	var discWS *nn.Workspace
-	var scratch *lossScratch
-	if ws != nil {
-		discWS = ws.disc
-		scratch = ws.loss
-	}
-	logits := disc.ForwardWS(discWS, fake)
-	ones := scratch.full(logits.Rows, logits.Cols, 1)
-	loss, _ := nn.BCEWithLogitsLossInto(scratch.gradDst(), logits, ones)
+	logits := disc.ForwardWS(ws.disc, fake)
+	ones := ws.loss.full(logits.Rows, logits.Cols, 1)
+	loss, _ := nn.BCEWithLogitsLossInto(&ws.loss.grad, logits, ones)
 	return loss
 }
 
 // EvolveWeights performs one (1+1)-ES step: propose w' = Π(w + N(0, σ)),
 // accept if the proposal's fitness does not worsen. Returns the accepted
-// fitness and whether the proposal was accepted.
-func (m *Mixture) EvolveWeights(disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
-	return m.EvolveWeightsWS(nil, disc, sigma, n, latentDim, rng)
-}
-
-// EvolveWeightsWS is EvolveWeights drawing every buffer from ws (nil ws
-// allocates). On acceptance the previous Weights slice is recycled as the
+// fitness and whether the proposal was accepted. Every buffer comes from
+// ws; on acceptance the previous Weights slice is recycled as the
 // workspace's next proposal buffer, so callers must not retain references
-// to Mixture.Weights across calls when a workspace is in use.
-func (m *Mixture) EvolveWeightsWS(ws *SampleWorkspace, disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
+// to Mixture.Weights across calls.
+func (m *Mixture) EvolveWeights(ws *SampleWorkspace, disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
 	// Evaluate parent and child on a common RNG-derived sample stream to
 	// reduce selection noise: each evaluation uses its own split.
-	parentFit := m.FitnessWS(ws, disc, n, latentDim, rng.Split())
-	var proposal []float64
-	if ws != nil {
-		proposal = floatsFor(&ws.proposal, len(m.Weights))
-		copy(proposal, m.Weights)
-	} else {
-		proposal = append([]float64(nil), m.Weights...)
-	}
+	parentFit := m.Fitness(ws, disc, n, latentDim, rng.Split())
+	proposal := floatsFor(&ws.proposal, len(m.Weights))
+	copy(proposal, m.Weights)
 	for i := range proposal {
 		proposal[i] += rng.NormFloat64() * sigma
 	}
 	normalizeWeights(proposal)
 	old := m.Weights
 	m.Weights = proposal
-	childFit := m.FitnessWS(ws, disc, n, latentDim, rng.Split())
+	childFit := m.Fitness(ws, disc, n, latentDim, rng.Split())
 	if childFit <= parentFit {
-		if ws != nil {
-			// The displaced parent slice becomes the next proposal buffer;
-			// ws.proposal must never alias the live m.Weights.
-			ws.proposal = old
-		}
+		// The displaced parent slice becomes the next proposal buffer;
+		// ws.proposal must never alias the live m.Weights.
+		ws.proposal = old
 		return childFit, true
 	}
 	m.Weights = old

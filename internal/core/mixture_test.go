@@ -181,7 +181,7 @@ func TestMixtureSampleRespectsWeights(t *testing.T) {
 	}
 	z := tensor.New(8, 4)
 	tensor.GaussianFill(z, 0, 1, rng2)
-	want := a.Forward(z)
+	want := a.ForwardWS(nn.NewWorkspace(), z)
 	if !out.ApproxEqual(want, 1e-12) {
 		t.Fatal("degenerate mixture did not route all samples through component A")
 	}
@@ -193,7 +193,7 @@ func TestMixtureFitnessFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	disc := nn.MLP([]int{6, 4, 1}, func() nn.Layer { return nn.NewTanh() }, nil, tensor.NewRNG(5))
-	fit := m.Fitness(disc, 16, 4, tensor.NewRNG(6))
+	fit := m.Fitness(NewSampleWorkspace(), disc, 16, 4, tensor.NewRNG(6))
 	if math.IsNaN(fit) || math.IsInf(fit, 0) || fit < 0 {
 		t.Fatalf("fitness %v", fit)
 	}
@@ -206,8 +206,9 @@ func TestEvolveWeightsKeepsSimplexAndNeverWorsens(t *testing.T) {
 	}
 	disc := nn.MLP([]int{6, 4, 1}, func() nn.Layer { return nn.NewTanh() }, nil, tensor.NewRNG(7))
 	rng := tensor.NewRNG(8)
+	ws := NewSampleWorkspace()
 	for i := 0; i < 10; i++ {
-		fit, _ := m.EvolveWeights(disc, 0.05, 16, 4, rng)
+		fit, _ := m.EvolveWeights(ws, disc, 0.05, 16, 4, rng)
 		if math.IsNaN(fit) {
 			t.Fatal("NaN fitness")
 		}
@@ -231,7 +232,7 @@ func TestEvolveWeightsZeroSigmaKeepsWeights(t *testing.T) {
 	}
 	before := append([]float64(nil), m.Weights...)
 	disc := nn.MLP([]int{6, 4, 1}, func() nn.Layer { return nn.NewTanh() }, nil, tensor.NewRNG(9))
-	m.EvolveWeights(disc, 0, 8, 4, tensor.NewRNG(10))
+	m.EvolveWeights(NewSampleWorkspace(), disc, 0, 8, 4, tensor.NewRNG(10))
 	for i := range before {
 		if math.Abs(before[i]-m.Weights[i]) > 1e-12 {
 			t.Fatalf("σ=0 changed weights %v -> %v", before, m.Weights)

@@ -3,6 +3,9 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -196,6 +199,48 @@ func TestDeployerSkipsTornArtifact(t *testing.T) {
 	sts := reps[0].Registry().Statuses()
 	if len(sts) != 1 || sts[0].Hash != wantHash {
 		t.Fatalf("post-recovery replica hash = %+v, want %s", sts, wantHash)
+	}
+}
+
+// TestDeployerSkipsNonFiniteArtifact feeds the deployer an artifact whose
+// checksum footer is intact but whose generator holds a NaN weight — what
+// a diverged run's exporter would write. It must be skipped and counted
+// like a torn file, never pushed: every sample it served would be NaN.
+func TestDeployerSkipsNonFiniteArtifact(t *testing.T) {
+	reps := startReplicas(t, 2)
+	g, ts := newTestGateway(t, reps, Options{})
+	var buf bytes.Buffer
+	if err := checkpoint.WriteMixture(&buf, deployVariant(t)); err != nil {
+		t.Fatalf("WriteMixture: %v", err)
+	}
+	// The body ends with the last generator parameter; poison it and
+	// re-seal the footer (magic, then sha256 of the body).
+	data := buf.Bytes()
+	body := data[:len(data)-8-sha256.Size]
+	binary.LittleEndian.PutUint64(body[len(body)-8:], math.Float64bits(math.NaN()))
+	sum := sha256.Sum256(body)
+	copy(data[len(data)-sha256.Size:], sum[:])
+	path := filepath.Join(t.TempDir(), "mixture.bin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("writing poisoned artifact: %v", err)
+	}
+
+	d := newDeployer(t, g, path)
+	for i := 0; i < 2; i++ {
+		if n, err := d.CheckOnce(context.Background()); n != 0 || err != nil {
+			t.Fatalf("CheckOnce %d on NaN artifact = (%d, %v), want (0, nil)", i, n, err)
+		}
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "gateway_bad_artifacts_total"); got != 2 {
+		t.Fatalf("gateway_bad_artifacts_total = %g, want 2", got)
+	}
+	nanHash := checkpoint.HashMixtureBytes(data)
+	for i, rep := range reps {
+		for _, st := range rep.Registry().Statuses() {
+			if st.Hash == nanHash {
+				t.Fatalf("replica %d received the NaN artifact", i)
+			}
+		}
 	}
 }
 

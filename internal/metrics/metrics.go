@@ -24,9 +24,9 @@ import (
 // Classifier is a digit classifier whose outputs back the quality metrics.
 type Classifier struct {
 	net *nn.Network
-	// featureCut is the layer index after which activations are taken as
-	// the feature embedding for the Fréchet distance.
-	featureCut int
+	// features is the prefix of net (through the hidden tanh) whose
+	// activations are the feature embedding for the Fréchet distance.
+	features *nn.Network
 }
 
 // ClassifierOptions tunes TrainClassifier.
@@ -63,32 +63,32 @@ func TrainClassifier(ds *dataset.Dataset, opts ClassifierOptions, rng *tensor.RN
 	sub := ds.WithSize(opts.TrainSamples)
 	loader := dataset.NewLoader(sub, opts.BatchSize, rng.Split())
 	steps := opts.Epochs * loader.BatchesPerEpoch()
+	ws := nn.NewWorkspace()
 	for s := 0; s < steps; s++ {
 		x, labels := loader.Next()
 		net.ZeroGrads()
-		logits := net.Forward(x)
+		logits := net.ForwardWS(ws, x)
 		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.Backward(grad)
+		net.BackwardWS(ws, grad)
 		opt.Step(net)
 	}
 	// Features are the activations after the hidden tanh (layer index 1).
-	return &Classifier{net: net, featureCut: 2}, nil
+	return &Classifier{net: net, features: nn.NewNetwork(net.Layers[:2]...)}, nil
 }
 
-// Logits returns the raw class scores for a batch of images.
-func (c *Classifier) Logits(x *tensor.Mat) *tensor.Mat { return c.net.Forward(x) }
+// Logits returns the raw class scores for a batch of images. The result is
+// the caller's: each call runs on a fresh workspace.
+func (c *Classifier) Logits(x *tensor.Mat) *tensor.Mat {
+	return c.net.ForwardWS(nn.NewWorkspace(), x)
+}
 
 // Probs returns row-wise class probabilities for a batch of images.
-func (c *Classifier) Probs(x *tensor.Mat) *tensor.Mat { return nn.Softmax(c.net.Forward(x)) }
+func (c *Classifier) Probs(x *tensor.Mat) *tensor.Mat { return nn.Softmax(c.Logits(x)) }
 
 // Features returns the hidden-layer embedding used by the Fréchet
 // distance.
 func (c *Classifier) Features(x *tensor.Mat) *tensor.Mat {
-	out := x
-	for i := 0; i < c.featureCut && i < len(c.net.Layers); i++ {
-		out = c.net.Layers[i].Forward(out)
-	}
-	return out
+	return c.features.ForwardWS(nn.NewWorkspace(), x)
 }
 
 // Accuracy evaluates the classifier on the first n samples of ds.

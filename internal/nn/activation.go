@@ -22,24 +22,14 @@ type Tanh struct {
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Mat) *tensor.Mat {
-	return t.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto applies tanh element-wise into dst.
-func (t *Tanh) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
+// Forward applies tanh element-wise into dst.
+func (t *Tanh) Forward(_ *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
 	t.out = tensor.ApplyInto(dst, x, math.Tanh)
 	return t.out
 }
 
-// Backward returns grad ⊙ (1 - tanh²).
-func (t *Tanh) Backward(grad *tensor.Mat) *tensor.Mat {
-	return t.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes grad ⊙ (1 - tanh²) into dst.
-func (t *Tanh) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
+// Backward writes grad ⊙ (1 - tanh²) into dst.
+func (t *Tanh) Backward(_ *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
 	if t.out == nil {
 		panic("nn: Tanh.Backward before Forward")
 	}
@@ -71,24 +61,14 @@ func sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// Forward applies the logistic function element-wise.
-func (s *Sigmoid) Forward(x *tensor.Mat) *tensor.Mat {
-	return s.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto applies the logistic function element-wise into dst.
-func (s *Sigmoid) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
+// Forward applies the logistic function element-wise into dst.
+func (s *Sigmoid) Forward(_ *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
 	s.out = tensor.ApplyInto(dst, x, sigmoid)
 	return s.out
 }
 
-// Backward returns grad ⊙ σ(1-σ).
-func (s *Sigmoid) Backward(grad *tensor.Mat) *tensor.Mat {
-	return s.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes grad ⊙ σ(1-σ) into dst.
-func (s *Sigmoid) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
+// Backward writes grad ⊙ σ(1-σ) into dst.
+func (s *Sigmoid) Backward(_ *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
 	if s.out == nil {
 		panic("nn: Sigmoid.Backward before Forward")
 	}
@@ -112,13 +92,8 @@ type LeakyReLU struct {
 // NewLeakyReLU returns a LeakyReLU with the given negative slope.
 func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
-// Forward applies the leaky rectifier element-wise.
-func (l *LeakyReLU) Forward(x *tensor.Mat) *tensor.Mat {
-	return l.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto applies the leaky rectifier element-wise into dst.
-func (l *LeakyReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
+// Forward applies the leaky rectifier element-wise into dst.
+func (l *LeakyReLU) Forward(_ *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
 	l.x = x
 	return tensor.ApplyInto(dst, x, func(v float64) float64 {
 		if v >= 0 {
@@ -128,14 +103,8 @@ func (l *LeakyReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
 	})
 }
 
-// Backward scales grad by 1 where the input was non-negative, alpha
-// elsewhere.
-func (l *LeakyReLU) Backward(grad *tensor.Mat) *tensor.Mat {
-	return l.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes the masked gradient into dst.
-func (l *LeakyReLU) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
+// Backward writes the masked gradient into dst.
+func (l *LeakyReLU) Backward(_ *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
 	if l.x == nil {
 		panic("nn: LeakyReLU.Backward before Forward")
 	}
@@ -162,13 +131,8 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies max(0, x) element-wise.
-func (r *ReLU) Forward(x *tensor.Mat) *tensor.Mat {
-	return r.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto applies max(0, x) element-wise into dst.
-func (r *ReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
+// Forward applies max(0, x) element-wise into dst.
+func (r *ReLU) Forward(_ *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
 	r.x = x
 	return tensor.ApplyInto(dst, x, func(v float64) float64 {
 		if v > 0 {
@@ -178,13 +142,8 @@ func (r *ReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
 	})
 }
 
-// Backward masks grad where the input was negative.
-func (r *ReLU) Backward(grad *tensor.Mat) *tensor.Mat {
-	return r.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes the masked gradient into dst.
-func (r *ReLU) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
+// Backward writes the masked gradient into dst.
+func (r *ReLU) Backward(_ *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
 	if r.x == nil {
 		panic("nn: ReLU.Backward before Forward")
 	}

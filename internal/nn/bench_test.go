@@ -17,11 +17,14 @@ func paperGenerator(b *testing.B) (*Network, *tensor.Mat) {
 	return net, z
 }
 
+// BenchmarkGeneratorForwardBatch100 and BenchmarkGeneratorForwardBackward
+// time a pass on a fresh workspace — the cold cost every buffer pays once;
+// the …WS forms below time the steady state of a reused workspace.
 func BenchmarkGeneratorForwardBatch100(b *testing.B) {
 	net, z := paperGenerator(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = net.Forward(z)
+		_ = net.ForwardWS(NewWorkspace(), z)
 	}
 }
 
@@ -30,10 +33,11 @@ func BenchmarkGeneratorForwardBackward(b *testing.B) {
 	y := tensor.New(100, 784)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ws := NewWorkspace()
 		net.ZeroGrads()
-		out := net.Forward(z)
+		out := net.ForwardWS(ws, z)
 		_, grad := MSELoss(out, y)
-		net.Backward(grad)
+		net.BackwardWS(ws, grad)
 	}
 }
 
@@ -67,32 +71,15 @@ func BenchmarkGeneratorForwardBackwardWS(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorForward32 is the float32 serving-tier counterpart of
-// BenchmarkGeneratorForwardWS: the same Table I generator compiled with
-// CompileNet32, batch 100.
-func BenchmarkGeneratorForward32(b *testing.B) {
-	net, z := paperGenerator(b)
-	c, err := CompileNet32(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	z32 := tensor.Narrow(z)
-	c.Forward(z32) // warm buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Forward(z32)
-	}
-}
-
 func BenchmarkAdamStepPaperGenerator(b *testing.B) {
 	net, z := paperGenerator(b)
 	opt := NewAdam(2e-4)
 	y := tensor.New(100, 784)
+	ws := NewWorkspace()
 	net.ZeroGrads()
-	out := net.Forward(z)
+	out := net.ForwardWS(ws, z)
 	_, grad := MSELoss(out, y)
-	net.Backward(grad)
+	net.BackwardWS(ws, grad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Step(net)

@@ -34,51 +34,54 @@ func benchConvT(b *testing.B) (*ConvTranspose2D, *tensor.Mat) {
 	return ct, x
 }
 
+// The *Direct benchmarks time the test-only direct-loop oracle
+// (conv_oracle_test.go) beside the im2col lowering the layers run.
+
 func BenchmarkConv2DForwardDirect(b *testing.B) {
 	conv, x := benchConv(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = conv.Forward(x)
+		_ = conv2DForwardDirect(conv, x)
 	}
 }
 
 func BenchmarkConv2DForwardIm2Col(b *testing.B) {
 	conv, x := benchConv(b)
 	s, dst := &LayerScratch{}, new(tensor.Mat)
-	conv.ForwardScratch(s, dst, x) // warm buffers
+	conv.Forward(s, dst, x) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = conv.ForwardScratch(s, dst, x)
+		_ = conv.Forward(s, dst, x)
 	}
 }
 
 func BenchmarkConv2DBackwardDirect(b *testing.B) {
 	conv, x := benchConv(b)
-	out := conv.Forward(x)
+	out := conv2DForwardDirect(conv, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(93))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.ZeroGrads()
-		_ = conv.Backward(grad)
+		_ = conv2DBackwardDirect(conv, x, grad)
 	}
 }
 
 func BenchmarkConv2DBackwardIm2Col(b *testing.B) {
 	conv, x := benchConv(b)
 	s, dst, dx := &LayerScratch{}, new(tensor.Mat), new(tensor.Mat)
-	out := conv.ForwardScratch(s, dst, x)
+	out := conv.Forward(s, dst, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(93))
-	conv.BackwardScratch(s, dx, grad) // warm buffers
+	conv.Backward(s, dx, grad) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.ZeroGrads()
-		_ = conv.BackwardScratch(s, dx, grad)
+		_ = conv.Backward(s, dx, grad)
 	}
 }
 
@@ -87,46 +90,46 @@ func BenchmarkConvTranspose2DForwardDirect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ct.Forward(x)
+		_ = convT2DForwardDirect(ct, x)
 	}
 }
 
 func BenchmarkConvTranspose2DForwardIm2Col(b *testing.B) {
 	ct, x := benchConvT(b)
 	s, dst := &LayerScratch{}, new(tensor.Mat)
-	ct.ForwardScratch(s, dst, x) // warm buffers
+	ct.Forward(s, dst, x) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ct.ForwardScratch(s, dst, x)
+		_ = ct.Forward(s, dst, x)
 	}
 }
 
 func BenchmarkConvTranspose2DBackwardDirect(b *testing.B) {
 	ct, x := benchConvT(b)
-	out := ct.Forward(x)
+	out := convT2DForwardDirect(ct, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(94))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ct.ZeroGrads()
-		_ = ct.Backward(grad)
+		_ = convT2DBackwardDirect(ct, x, grad)
 	}
 }
 
 func BenchmarkConvTranspose2DBackwardIm2Col(b *testing.B) {
 	ct, x := benchConvT(b)
 	s, dst, dx := &LayerScratch{}, new(tensor.Mat), new(tensor.Mat)
-	out := ct.ForwardScratch(s, dst, x)
+	out := ct.Forward(s, dst, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(94))
-	ct.BackwardScratch(s, dx, grad) // warm buffers
+	ct.Backward(s, dx, grad) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ct.ZeroGrads()
-		_ = ct.BackwardScratch(s, dx, grad)
+		_ = ct.Backward(s, dx, grad)
 	}
 }
 
@@ -159,16 +162,16 @@ func dcganNets(tb testing.TB) (gen, disc *Network) {
 
 // dcganIteration runs one adversarial training iteration (generator
 // forward, discriminator forward/backward through to the latent, Adam
-// steps on both nets) on the given workspaces; nil workspaces use the
-// allocating direct-loop path.
-func dcganIteration(gen, disc *Network, optG, optD Optimizer, gws, dws *Workspace, z, ones *tensor.Mat, grad *tensor.Mat) {
+// steps on both nets) through the given passes: workspaces or the
+// direct-loop oracle.
+func dcganIteration(gen, disc *Network, optG, optD Optimizer, gp, dp netPass, z, ones *tensor.Mat, grad *tensor.Mat) {
 	gen.ZeroGrads()
 	disc.ZeroGrads()
-	fake := gen.ForwardWS(gws, z)
-	logits := disc.ForwardWS(dws, fake)
+	fake := gp.forward(z)
+	logits := dp.forward(fake)
 	_, _ = BCEWithLogitsLossInto(grad, logits, ones)
-	dImg := disc.BackwardWS(dws, grad)
-	gen.BackwardWS(gws, dImg)
+	dImg := dp.backward(grad)
+	gp.backward(dImg)
 	optG.Step(gen)
 	optD.Step(disc)
 }
@@ -180,26 +183,27 @@ func BenchmarkDCGANTrainIterationDirect(b *testing.B) {
 	tensor.GaussianFill(z, 0, 1, tensor.NewRNG(96))
 	ones := tensor.Full(32, 1, 1)
 	grad := new(tensor.Mat)
+	gp, dp := directPass(gen), directPass(disc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dcganIteration(gen, disc, optG, optD, nil, nil, z, ones, grad)
+		dcganIteration(gen, disc, optG, optD, gp, dp, z, ones, grad)
 	}
 }
 
 func BenchmarkDCGANTrainIterationWS(b *testing.B) {
 	gen, disc := dcganNets(b)
 	optG, optD := NewAdam(2e-4), NewAdam(2e-4)
-	gws, dws := NewWorkspace(), NewWorkspace()
+	gp, dp := workspacePass(gen), workspacePass(disc)
 	z := tensor.New(32, 64)
 	tensor.GaussianFill(z, 0, 1, tensor.NewRNG(96))
 	ones := tensor.Full(32, 1, 1)
 	grad := new(tensor.Mat)
-	dcganIteration(gen, disc, optG, optD, gws, dws, z, ones, grad) // warm buffers
+	dcganIteration(gen, disc, optG, optD, gp, dp, z, ones, grad) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dcganIteration(gen, disc, optG, optD, gws, dws, z, ones, grad)
+		dcganIteration(gen, disc, optG, optD, gp, dp, z, ones, grad)
 	}
 }
 
@@ -213,13 +217,13 @@ func TestDCGANTrainIterationAllocs(t *testing.T) {
 	}
 	gen, disc := dcganNets(t)
 	optG, optD := NewAdam(2e-4), NewAdam(2e-4)
-	gws, dws := NewWorkspace(), NewWorkspace()
+	gp, dp := workspacePass(gen), workspacePass(disc)
 	z := tensor.New(32, 64)
 	tensor.GaussianFill(z, 0, 1, tensor.NewRNG(97))
 	ones := tensor.Full(32, 1, 1)
 	grad := new(tensor.Mat)
 	iter := func() {
-		dcganIteration(gen, disc, optG, optD, gws, dws, z, ones, grad)
+		dcganIteration(gen, disc, optG, optD, gp, dp, z, ones, grad)
 	}
 	iter() // warm workspaces, scratch buffers and Adam state
 	if allocs := testing.AllocsPerRun(10, iter); allocs > 2 {

@@ -9,20 +9,20 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// checkGradsWS is checkGrads through the workspace (scratch/Into) path, so
-// the im2col backward lowering is validated against numerical
-// differentiation independently of the direct-loop oracle.
-func checkGradsWS(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
+// checkGradsDirect is checkGrads through the direct-loop oracle, so the
+// oracle itself is validated against numerical differentiation
+// independently of the im2col lowering it checks.
+func checkGradsDirect(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
 	t.Helper()
-	ws := NewWorkspace()
+	d := newDirectNet(net)
 	net.ZeroGrads()
-	out := net.ForwardWS(ws, x)
+	out := d.forward(x)
 	_, dOut := loss(out)
-	net.BackwardWS(ws, dOut)
+	d.backward(dOut)
 	analytic := net.Grads()
 
 	numeric := numericalGrad(net, func() float64 {
-		l, _ := loss(net.ForwardWS(ws, x))
+		l, _ := loss(d.forward(x))
 		return l
 	}, 1e-6)
 
@@ -63,7 +63,7 @@ func TestGradCheckConv2DGeometries(t *testing.T) {
 			y := tensor.Full(3, 2, 0.5)
 			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELoss(out, y) }
 			checkGrads(t, mk(), x, loss)
-			checkGradsWS(t, mk(), x, loss)
+			checkGradsDirect(t, mk(), x, loss)
 		})
 	}
 }
@@ -95,14 +95,14 @@ func TestGradCheckConvTranspose2DGeometries(t *testing.T) {
 			y := tensor.Full(3, 2, 0.5)
 			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELoss(out, y) }
 			checkGrads(t, mk(), x, loss)
-			checkGradsWS(t, mk(), x, loss)
+			checkGradsDirect(t, mk(), x, loss)
 		})
 	}
 }
 
 // dcganTestPair builds twin (generator, discriminator) conv stacks from
 // fixed seeds — a miniature of core/genome.go's CNN topology, plus a
-// dropout layer so its Into path is covered too.
+// dropout layer so it rides along in both passes.
 func dcganTestPair(t *testing.T) (gen, disc *Network) {
 	t.Helper()
 	rng := tensor.NewRNG(71)
@@ -123,9 +123,27 @@ func dcganTestPair(t *testing.T) (gen, disc *Network) {
 	return gen, disc
 }
 
+// netPass is one network's forward and matching backward.
+type netPass struct {
+	forward, backward func(*tensor.Mat) *tensor.Mat
+}
+
+func workspacePass(net *Network) netPass {
+	ws := NewWorkspace()
+	return netPass{
+		forward:  func(x *tensor.Mat) *tensor.Mat { return net.ForwardWS(ws, x) },
+		backward: func(g *tensor.Mat) *tensor.Mat { return net.BackwardWS(ws, g) },
+	}
+}
+
+func directPass(net *Network) netPass {
+	d := newDirectNet(net)
+	return netPass{forward: d.forward, backward: d.backward}
+}
+
 // TestConvIterateBitExactWithWorkspace is the conv-stack version of
 // core's TestCellIterateBitExactWithWorkspace: twin GAN pairs train with
-// Adam — one through workspaces, one through the allocating direct loops —
+// Adam — one through workspaces, one through the direct-loop oracle —
 // and every output, input gradient, parameter gradient and the final
 // serialized checkpoint must be byte-identical.
 func TestConvIterateBitExactWithWorkspace(t *testing.T) {
@@ -133,10 +151,11 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 	genB, discB := dcganTestPair(t)
 	optGA, optDA := NewAdam(2e-3), NewAdam(2e-3)
 	optGB, optDB := NewAdam(2e-3), NewAdam(2e-3)
-	genWS, discWS := NewWorkspace(), NewWorkspace()
+	genWS, discWS := workspacePass(genA), workspacePass(discA)
+	genDirect, discDirect := directPass(genB), directPass(discB)
 	rngA, rngB := tensor.NewRNG(73), tensor.NewRNG(73)
 
-	step := func(gen, disc *Network, optG, optD Optimizer, gws, dws *Workspace, rng *tensor.RNG) (*tensor.Mat, *tensor.Mat, *tensor.Mat) {
+	step := func(gen, disc *Network, optG, optD Optimizer, gp, dp netPass, rng *tensor.RNG) (*tensor.Mat, *tensor.Mat, *tensor.Mat) {
 		z := tensor.New(4, 6)
 		tensor.GaussianFill(z, 0, 1, rng)
 		real := tensor.New(4, 25)
@@ -144,28 +163,28 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 
 		// Discriminator step on real data.
 		disc.ZeroGrads()
-		logits := disc.ForwardWS(dws, real)
+		logits := dp.forward(real)
 		_, dReal := BCEWithLogitsLoss(logits, tensor.Full(4, 1, 1))
-		disc.BackwardWS(dws, dReal)
+		dp.backward(dReal)
 		optD.Step(disc)
 
 		// Generator step through the discriminator.
 		gen.ZeroGrads()
 		disc.ZeroGrads()
-		fake := gen.ForwardWS(gws, z)
-		fLogits := disc.ForwardWS(dws, fake)
+		fake := gp.forward(z)
+		fLogits := dp.forward(fake)
 		_, dFake := BCEWithLogitsLoss(fLogits, tensor.Full(4, 1, 1))
-		dImg := disc.BackwardWS(dws, dFake)
-		dz := gen.BackwardWS(gws, dImg)
+		dImg := dp.backward(dFake)
+		dz := gp.backward(dImg)
 		optG.Step(gen)
 		return fake, fLogits, dz
 	}
 
 	for i := 0; i < 4; i++ {
 		fakeA, logitsA, dzA := step(genA, discA, optGA, optDA, genWS, discWS, rngA)
-		fakeB, logitsB, dzB := step(genB, discB, optGB, optDB, nil, nil, rngB)
+		fakeB, logitsB, dzB := step(genB, discB, optGB, optDB, genDirect, discDirect, rngB)
 		if !fakeA.Equal(fakeB) {
-			t.Fatalf("iter %d: generator outputs differ between scratch and direct paths", i)
+			t.Fatalf("iter %d: generator outputs differ between workspace and direct paths", i)
 		}
 		if !logitsA.Equal(logitsB) {
 			t.Fatalf("iter %d: discriminator logits differ", i)
@@ -201,8 +220,9 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 	}
 }
 
-// TestDropoutIntoParity pins the Into path of Dropout against the
-// allocating path with identical RNG streams, in both train and eval mode.
+// TestDropoutIntoParity pins a Dropout pass into reused destination
+// buffers against one into fresh buffers with identical RNG streams, in
+// both train and eval mode.
 func TestDropoutIntoParity(t *testing.T) {
 	a := NewDropout(0.4, tensor.NewRNG(81))
 	b := NewDropout(0.4, tensor.NewRNG(81))
@@ -211,31 +231,32 @@ func TestDropoutIntoParity(t *testing.T) {
 	g := tensor.New(5, 7)
 	tensor.GaussianFill(g, 0, 1, tensor.NewRNG(83))
 
+	s := new(LayerScratch)
 	dst, dstG := new(tensor.Mat), new(tensor.Mat)
 	for pass := 0; pass < 3; pass++ {
-		outA := a.ForwardInto(dst, x)
-		outB := b.Forward(x)
+		outA := a.Forward(s, dst, x)
+		outB := b.Forward(s, new(tensor.Mat), x)
 		if !outA.Equal(outB) {
-			t.Fatalf("pass %d: dropout ForwardInto differs", pass)
+			t.Fatalf("pass %d: dropout Forward into reused buffer differs", pass)
 		}
-		dxA := a.BackwardInto(dstG, g)
-		dxB := b.Backward(g)
+		dxA := a.Backward(s, dstG, g)
+		dxB := b.Backward(s, new(tensor.Mat), g)
 		if !dxA.Equal(dxB) {
-			t.Fatalf("pass %d: dropout BackwardInto differs", pass)
+			t.Fatalf("pass %d: dropout Backward into reused buffer differs", pass)
 		}
 	}
 
-	a.Train, b.Train = false, false
-	if a.ForwardInto(dst, x) != x || b.Forward(x) != x {
+	a.Train = false
+	if a.Forward(s, dst, x) != x {
 		t.Fatal("eval-mode dropout must return the input unchanged")
 	}
-	if a.BackwardInto(dstG, g) != g {
+	if a.Backward(s, dstG, g) != g {
 		t.Fatal("eval-mode dropout backward must pass the gradient through")
 	}
 }
 
-// TestDropoutIntoAllocs guards the satellite claim: a steady-state
-// train-mode dropout pass through the Into path performs zero allocations.
+// TestDropoutIntoAllocs guards that a steady-state train-mode dropout pass
+// into reused buffers performs zero allocations.
 func TestDropoutIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
@@ -245,13 +266,14 @@ func TestDropoutIntoAllocs(t *testing.T) {
 	tensor.GaussianFill(x, 0, 1, tensor.NewRNG(85))
 	g := tensor.New(8, 16)
 	tensor.GaussianFill(g, 0, 1, tensor.NewRNG(86))
+	s := new(LayerScratch)
 	dst, dstG := new(tensor.Mat), new(tensor.Mat)
 	pass := func() {
-		d.ForwardInto(dst, x)
-		d.BackwardInto(dstG, g)
+		d.Forward(s, dst, x)
+		d.Backward(s, dstG, g)
 	}
 	pass() // warm the mask and destination buffers
 	if allocs := testing.AllocsPerRun(20, pass); allocs > 0 {
-		t.Errorf("dropout Into pass: %.0f allocs per run, want 0", allocs)
+		t.Errorf("dropout pass: %.0f allocs per run, want 0", allocs)
 	}
 }

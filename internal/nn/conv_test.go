@@ -43,7 +43,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	})
-	out := c.Forward(x)
+	out := forwardOnce(c, x)
 	want := []float64{1 + 2 + 4 + 5 + 1, 2 + 3 + 5 + 6 + 1, 4 + 5 + 7 + 8 + 1, 5 + 6 + 8 + 9 + 1}
 	for i, w := range want {
 		if math.Abs(out.Data[i]-w) > 1e-12 {
@@ -77,7 +77,7 @@ func TestConvTransposeInvertsStride(t *testing.T) {
 	tl.W.Fill(3)
 	tl.B.Fill(-1)
 	x := tensor.FromSlice(1, 4, []float64{1, 2, 3, 4})
-	out := tl.Forward(x)
+	out := forwardOnce(tl, x)
 	want := []float64{2, 5, 8, 11}
 	for i, w := range want {
 		if math.Abs(out.Data[i]-w) > 1e-12 {
@@ -134,17 +134,18 @@ func TestGradCheckConvInputGradient(t *testing.T) {
 	_, oh, ow := conv.OutDims()
 	y := tensor.Full(1, 2*oh*ow, 0.3)
 
+	ws, probe := NewWorkspace(), NewWorkspace()
 	net.ZeroGrads()
-	out := net.Forward(x)
+	out := net.ForwardWS(ws, x)
 	_, dOut := MSELoss(out, y)
-	dx := net.Backward(dOut)
+	dx := net.BackwardWS(ws, dOut)
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := MSELoss(net.Forward(x), y)
+		lp, _ := MSELoss(net.ForwardWS(probe, x), y)
 		x.Data[i] = orig - eps
-		lm, _ := MSELoss(net.Forward(x), y)
+		lm, _ := MSELoss(net.ForwardWS(probe, x), y)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(dx.Data[i]-num) > 1e-4*(1+math.Abs(num)) {
@@ -183,7 +184,7 @@ func TestConvBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T no panic", l)
 				}
 			}()
-			l.Backward(tensor.New(1, 1))
+			l.Backward(new(LayerScratch), new(tensor.Mat), tensor.New(1, 1))
 		}()
 	}
 }
@@ -222,11 +223,12 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 
 	z := tensor.New(3, 16)
 	tensor.GaussianFill(z, 0, 1, rng)
-	fake := gen.Forward(z)
+	gws, dws := NewWorkspace(), NewWorkspace()
+	fake := gen.ForwardWS(gws, z)
 	if fake.Cols != 784 {
 		t.Fatalf("generator output %d", fake.Cols)
 	}
-	logits := disc.Forward(fake)
+	logits := disc.ForwardWS(dws, fake)
 	if logits.Rows != 3 || logits.Cols != 1 {
 		t.Fatalf("disc output %d×%d", logits.Rows, logits.Cols)
 	}
@@ -236,9 +238,9 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 	}
 	gen.ZeroGrads()
 	disc.ZeroGrads()
-	dFake := disc.Backward(grad)
+	dFake := disc.BackwardWS(dws, grad)
 	disc.ZeroGrads()
-	gen.Backward(dFake)
+	gen.BackwardWS(gws, dFake)
 	opt := NewAdam(1e-3)
 	before := gen.ParamsL2()
 	opt.Step(gen)
@@ -250,8 +252,9 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 func TestDropoutTrainAndEval(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	d := NewDropout(0.5, rng)
+	s := new(LayerScratch)
 	x := tensor.Full(10, 100, 1)
-	out := d.Forward(x)
+	out := d.Forward(s, new(tensor.Mat), x)
 	zeros, scaled := 0, 0
 	for _, v := range out.Data {
 		switch v {
@@ -271,7 +274,7 @@ func TestDropoutTrainAndEval(t *testing.T) {
 		t.Fatalf("drop fraction %v", frac)
 	}
 	// Backward masks identically.
-	g := d.Backward(tensor.Full(10, 100, 1))
+	g := d.Backward(s, new(tensor.Mat), tensor.Full(10, 100, 1))
 	for i := range g.Data {
 		if (out.Data[i] == 0) != (g.Data[i] == 0) {
 			t.Fatal("gradient mask mismatch")
@@ -279,7 +282,7 @@ func TestDropoutTrainAndEval(t *testing.T) {
 	}
 	// Eval mode is identity.
 	d.Train = false
-	out2 := d.Forward(x)
+	out2 := d.Forward(s, new(tensor.Mat), x)
 	if !out2.Equal(x) {
 		t.Fatal("eval-mode dropout not identity")
 	}

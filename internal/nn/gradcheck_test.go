@@ -27,18 +27,19 @@ func numericalGrad(net *Network, lossFn func() float64, eps float64) []*tensor.M
 	return out
 }
 
-// checkGrads runs forward+backward once and compares analytic parameter
-// gradients against numerical estimates.
+// checkGrads runs forward+backward once through a workspace and compares
+// analytic parameter gradients against numerical estimates.
 func checkGrads(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
 	t.Helper()
+	ws := NewWorkspace()
 	net.ZeroGrads()
-	out := net.Forward(x)
+	out := net.ForwardWS(ws, x)
 	_, dOut := loss(out)
-	net.Backward(dOut)
+	net.BackwardWS(ws, dOut)
 	analytic := net.Grads()
 
 	numeric := numericalGrad(net, func() float64 {
-		l, _ := loss(net.Forward(x))
+		l, _ := loss(net.ForwardWS(ws, x))
 		return l
 	}, 1e-6)
 
@@ -117,7 +118,7 @@ func TestGradCheckDeepGeneratorTopology(t *testing.T) {
 }
 
 func TestBackwardInputGradient(t *testing.T) {
-	// Verify ∂L/∂x returned by Backward against numerical differentiation,
+	// Verify ∂L/∂x returned by BackwardWS against numerical differentiation,
 	// which is what GAN generator training depends on (gradient flows
 	// through the discriminator into the generator's output).
 	rng := tensor.NewRNG(6)
@@ -126,18 +127,19 @@ func TestBackwardInputGradient(t *testing.T) {
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.Full(2, 1, 1)
 
+	ws, probe := NewWorkspace(), NewWorkspace()
 	net.ZeroGrads()
-	out := net.Forward(x)
+	out := net.ForwardWS(ws, x)
 	_, dOut := BCEWithLogitsLoss(out, y)
-	dx := net.Backward(dOut)
+	dx := net.BackwardWS(ws, dOut)
 
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := BCEWithLogitsLoss(net.Forward(x), y)
+		lp, _ := BCEWithLogitsLoss(net.ForwardWS(probe, x), y)
 		x.Data[i] = orig - eps
-		lm, _ := BCEWithLogitsLoss(net.Forward(x), y)
+		lm, _ := BCEWithLogitsLoss(net.ForwardWS(probe, x), y)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(dx.Data[i]-num) > 1e-4*(1+math.Abs(num)) {

@@ -4,10 +4,12 @@
 // and softmax losses, and SGD/Adam optimizers with mutable hyperparameters
 // (the coevolutionary algorithm mutates the Adam learning rate at runtime).
 //
-// The API follows a conventional layer protocol: Forward caches whatever is
-// needed for the backward pass, Backward receives ∂L/∂output and returns
-// ∂L/∂input while accumulating parameter gradients, and optimizers consume
-// (params, grads) pairs.
+// Every layer speaks one destination-passing protocol: Forward writes the
+// layer output into a caller-owned matrix and caches whatever the backward
+// pass needs, Backward receives ∂L/∂output and writes ∂L/∂input into a
+// caller-owned matrix while accumulating parameter gradients, and
+// optimizers consume (params, grads) pairs. A Workspace owns those
+// matrices per layer slot, so steady-state passes do not allocate.
 package nn
 
 import (
@@ -18,11 +20,17 @@ import (
 // forward-pass state, so a Layer must not be shared between concurrently
 // training networks; use Clone for that.
 type Layer interface {
-	// Forward computes the layer output for a batch (rows = samples).
-	Forward(x *tensor.Mat) *tensor.Mat
-	// Backward receives ∂L/∂output for the most recent Forward call,
-	// accumulates parameter gradients, and returns ∂L/∂input.
-	Backward(grad *tensor.Mat) *tensor.Mat
+	// Forward computes the layer output for a batch (rows = samples) into
+	// dst (resized as needed) and returns the output, which is dst except
+	// for pass-through layers (eval-mode dropout returns x). Auxiliary
+	// buffers come from s and must stay untouched until the matching
+	// Backward. dst must not alias x.
+	Forward(s *LayerScratch, dst, x *tensor.Mat) *tensor.Mat
+	// Backward receives ∂L/∂output for the most recent Forward on the same
+	// s, accumulates parameter gradients, and writes ∂L/∂input into dst
+	// (resized as needed), returning it; pass-through layers return grad.
+	// dst must not alias grad.
+	Backward(s *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat
 	// Params returns the trainable parameter matrices (possibly empty).
 	Params() []*tensor.Mat
 	// Grads returns the gradient accumulators, aligned with Params.
@@ -40,39 +48,6 @@ type Layer interface {
 type Sized interface {
 	// OutputWidth returns the per-sample output length of the layer.
 	OutputWidth() int
-}
-
-// IntoLayer is implemented by layers with destination-passing Forward and
-// Backward variants that write into caller-owned buffers instead of
-// allocating. Network.ForwardWS/BackwardWS route through these when a
-// Workspace is supplied; layers without them fall back to the allocating
-// protocol. Both variants are bit-identical to their allocating forms.
-type IntoLayer interface {
-	Layer
-	// ForwardInto is Forward writing the layer output into dst (resized
-	// as needed); it returns dst. dst must not alias x.
-	ForwardInto(dst, x *tensor.Mat) *tensor.Mat
-	// BackwardInto is Backward writing ∂L/∂input into dst (resized as
-	// needed); it returns dst. dst must not alias grad.
-	BackwardInto(dst, grad *tensor.Mat) *tensor.Mat
-}
-
-// ScratchLayer is implemented by layers whose destination-passing passes
-// need auxiliary buffers beyond the output matrix — the im2col lowering of
-// the convolution layers materialises patch matrices that must live
-// somewhere reusable. Network.ForwardWS/BackwardWS route through these
-// with a per-layer LayerScratch owned by the Workspace, so the auxiliary
-// buffers are reused across iterations exactly like activations. Both
-// variants are bit-identical to the allocating Forward/Backward.
-type ScratchLayer interface {
-	Layer
-	// ForwardScratch is Forward writing the layer output into dst, drawing
-	// auxiliary buffers from s; it returns dst. Buffers cached in s must
-	// stay untouched by the caller until the matching BackwardScratch.
-	ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *tensor.Mat
-	// BackwardScratch is Backward writing ∂L/∂input into dst, reading the
-	// buffers cached by the preceding ForwardScratch on the same s.
-	BackwardScratch(s *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat
 }
 
 // Linear is a fully-connected layer computing y = x·W + b.
@@ -108,31 +83,20 @@ func (l *Linear) Out() int { return l.W.Cols }
 // OutputWidth implements Sized.
 func (l *Linear) OutputWidth() int { return l.W.Cols }
 
-// Forward computes x·W + b for a batch x (rows = samples).
-func (l *Linear) Forward(x *tensor.Mat) *tensor.Mat {
-	return l.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto computes x·W + b into dst, reusing dst's storage: one fused
+// Forward computes x·W + b into dst, reusing dst's storage: one fused
 // MatMulInto plus the in-place broadcast bias add, no temporaries.
-func (l *Linear) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
+func (l *Linear) Forward(_ *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
 	l.x = x
 	tensor.MatMulInto(dst, x, l.W)
 	dst.AddRowVec(l.B)
 	return dst
 }
 
-// Backward accumulates dW += xᵀ·grad and dB += colsums(grad) and returns
-// grad·Wᵀ.
-func (l *Linear) Backward(grad *tensor.Mat) *tensor.Mat {
-	return l.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto is Backward with the returned ∂L/∂input written into dst.
-// The parameter-gradient accumulations are fused into the kernels
-// (AddMatMulT1Into/AddColSumsInto), so the whole backward pass of the
-// layer performs zero allocations once dst has capacity.
-func (l *Linear) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
+// Backward accumulates dW += xᵀ·grad and dB += colsums(grad) and writes
+// grad·Wᵀ into dst. The parameter-gradient accumulations are fused into
+// the kernels (AddMatMulT1Into/AddColSumsInto), so the whole backward pass
+// of the layer performs zero allocations once dst has capacity.
+func (l *Linear) Backward(_ *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}

@@ -8,6 +8,11 @@ import (
 	"cellgan/internal/tensor"
 )
 
+// forwardOnce runs one forward pass of l on fresh buffers.
+func forwardOnce(l Layer, x *tensor.Mat) *tensor.Mat {
+	return l.Forward(new(LayerScratch), new(tensor.Mat), x)
+}
+
 func TestLinearForwardKnown(t *testing.T) {
 	l := &Linear{
 		W:  tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}),
@@ -16,7 +21,7 @@ func TestLinearForwardKnown(t *testing.T) {
 		dB: tensor.New(1, 2),
 	}
 	x := tensor.FromSlice(1, 2, []float64{1, 1})
-	y := l.Forward(x)
+	y := forwardOnce(l, x)
 	want := tensor.FromSlice(1, 2, []float64{14, 26})
 	if !y.Equal(want) {
 		t.Fatalf("Forward = %v want %v", y, want)
@@ -32,7 +37,7 @@ func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewLinear(2, 2, tensor.NewRNG(1)).Backward(tensor.New(1, 2))
+	NewLinear(2, 2, tensor.NewRNG(1)).Backward(new(LayerScratch), new(tensor.Mat), tensor.New(1, 2))
 }
 
 func TestActivationShapesAndRanges(t *testing.T) {
@@ -40,10 +45,10 @@ func TestActivationShapesAndRanges(t *testing.T) {
 	x := tensor.New(4, 6)
 	tensor.GaussianFill(x, 0, 3, rng)
 
-	th := NewTanh().Forward(x)
-	sg := NewSigmoid().Forward(x)
-	lr := NewLeakyReLU(0.2).Forward(x)
-	rl := NewReLU().Forward(x)
+	th := forwardOnce(NewTanh(), x)
+	sg := forwardOnce(NewSigmoid(), x)
+	lr := forwardOnce(NewLeakyReLU(0.2), x)
+	rl := forwardOnce(NewReLU(), x)
 	for i := range x.Data {
 		if th.Data[i] < -1 || th.Data[i] > 1 {
 			t.Fatal("tanh out of range")
@@ -65,7 +70,7 @@ func TestActivationShapesAndRanges(t *testing.T) {
 
 func TestSigmoidStability(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{800, -800})
-	y := NewSigmoid().Forward(x)
+	y := forwardOnce(NewSigmoid(), x)
 	if y.Data[0] != 1 || y.Data[1] != 0 {
 		t.Fatalf("extreme sigmoid = %v", y.Data)
 	}
@@ -82,7 +87,7 @@ func TestActivationBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T Backward before Forward did not panic", l)
 				}
 			}()
-			l.Backward(tensor.New(1, 1))
+			l.Backward(new(LayerScratch), new(tensor.Mat), tensor.New(1, 1))
 		}()
 	}
 }
@@ -163,7 +168,7 @@ func TestMLPBuilderShapes(t *testing.T) {
 	}
 	z := tensor.New(2, 64)
 	tensor.GaussianFill(z, 0, 1, rng)
-	out := g.Forward(z)
+	out := g.ForwardWS(NewWorkspace(), z)
 	if out.Rows != 2 || out.Cols != 784 {
 		t.Fatalf("output %d×%d", out.Rows, out.Cols)
 	}
@@ -403,9 +408,10 @@ func TestZeroGradsClearsAll(t *testing.T) {
 	x := tensor.New(2, 3)
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.New(2, 2)
-	out := net.Forward(x)
+	ws := NewWorkspace()
+	out := net.ForwardWS(ws, x)
 	_, g := MSELoss(out, y)
-	net.Backward(g)
+	net.BackwardWS(ws, g)
 	nonzero := false
 	for _, gm := range net.Grads() {
 		if gm.Norm2() > 0 {
@@ -430,13 +436,14 @@ func TestTrainTinyClassifier(t *testing.T) {
 	opt := NewAdam(0.05)
 	x := tensor.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	y := tensor.FromSlice(4, 1, []float64{0, 1, 1, 0})
+	ws := NewWorkspace()
 	var loss float64
 	for i := 0; i < 800; i++ {
 		net.ZeroGrads()
-		out := net.Forward(x)
+		out := net.ForwardWS(ws, x)
 		var g *tensor.Mat
 		loss, g = BCEWithLogitsLoss(out, y)
-		net.Backward(g)
+		net.BackwardWS(ws, g)
 		opt.Step(net)
 	}
 	if loss > 0.05 {

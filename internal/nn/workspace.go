@@ -4,23 +4,28 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// Workspace owns the per-layer activation and gradient buffers for one
-// network's forward/backward pass. Reusing a Workspace across iterations
-// eliminates the per-step allocations of the plain Forward/Backward
-// protocol: buffers are lazily created on first use and resized (which
-// only reallocates when a batch-shape change outgrows capacity) on every
-// subsequent pass.
+// Workspace owns the per-layer activation, gradient and scratch buffers
+// for one network's forward/backward pass. Buffers are lazily created on
+// first use and resized (which only reallocates when a batch-shape change
+// outgrows capacity) on every subsequent pass, so a reused Workspace makes
+// steady-state passes allocation-free.
 //
 // A Workspace is owned by exactly one goroutine and must not be shared
 // between concurrently running networks. It may be shared across networks
 // sequentially (e.g. one workspace per cell, reused by the generator and
 // discriminator in turn) as long as each forward→backward pair completes
-// before the workspace is handed to the next network: layer caches and the
-// matrices returned by ForwardWS/BackwardWS alias workspace storage.
+// on the same workspace before it is handed to the next network: layer
+// caches and the matrices returned by ForwardWS/BackwardWS alias workspace
+// storage.
 type Workspace struct {
-	acts    []*tensor.Mat   // acts[i] holds the output of layer i
-	grads   []*tensor.Mat   // grads[i] holds ∂L/∂input of layer i
-	scratch []*LayerScratch // scratch[i] holds layer i's auxiliary buffers
+	slots []*layerSlot // slots[i] holds layer i's buffers
+}
+
+// layerSlot holds one layer's buffers: its output, its ∂L/∂input and its
+// auxiliary scratch.
+type layerSlot struct {
+	act, grad tensor.Mat
+	scratch   LayerScratch
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -42,66 +47,34 @@ func (s *LayerScratch) Buf(i int) *tensor.Mat {
 	return s.bufs[i]
 }
 
-// layerScratch returns the scratch bag for layer slot i, growing the slice
-// on demand.
-func (ws *Workspace) layerScratch(i int) *LayerScratch {
-	for len(ws.scratch) <= i {
-		ws.scratch = append(ws.scratch, &LayerScratch{})
+// grow extends the workspace until it holds at least n layer slots.
+func (ws *Workspace) grow(n int) {
+	for len(ws.slots) < n {
+		ws.slots = append(ws.slots, new(layerSlot))
 	}
-	return ws.scratch[i]
-}
-
-// grow extends bufs with empty matrices until it holds at least n slots.
-func grow(bufs []*tensor.Mat, n int) []*tensor.Mat {
-	for len(bufs) < n {
-		bufs = append(bufs, new(tensor.Mat))
-	}
-	return bufs
 }
 
 // ForwardWS propagates a batch through every layer, writing each layer's
-// output into ws-owned buffers. A nil ws falls back to the allocating
-// Forward path, so callers can thread an optional workspace through
-// unconditionally. Layers that do not implement IntoLayer allocate as
-// usual. The returned matrix aliases workspace storage and is only valid
-// until the next pass through ws. Results are bit-identical to Forward.
+// output into ws-owned buffers. The returned matrix aliases workspace
+// storage and is only valid until the next pass through ws.
 func (n *Network) ForwardWS(ws *Workspace, x *tensor.Mat) *tensor.Mat {
-	if ws == nil {
-		return n.Forward(x)
-	}
-	ws.acts = grow(ws.acts, len(n.Layers))
+	ws.grow(len(n.Layers))
 	for i, l := range n.Layers {
-		switch tl := l.(type) {
-		case ScratchLayer:
-			x = tl.ForwardScratch(ws.layerScratch(i), ws.acts[i], x)
-		case IntoLayer:
-			x = tl.ForwardInto(ws.acts[i], x)
-		default:
-			x = l.Forward(x)
-		}
+		s := ws.slots[i]
+		x = l.Forward(&s.scratch, &s.act, x)
 	}
 	return x
 }
 
 // BackwardWS propagates ∂L/∂output back through every layer, accumulating
 // parameter gradients into the layers and intermediate input-gradients
-// into ws-owned buffers. A nil ws falls back to the allocating Backward
-// path. The returned ∂L/∂input aliases workspace storage. Results are
-// bit-identical to Backward.
+// into ws-owned buffers. ws must be the workspace of the preceding
+// ForwardWS. The returned ∂L/∂input aliases workspace storage.
 func (n *Network) BackwardWS(ws *Workspace, grad *tensor.Mat) *tensor.Mat {
-	if ws == nil {
-		return n.Backward(grad)
-	}
-	ws.grads = grow(ws.grads, len(n.Layers))
+	ws.grow(len(n.Layers))
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		switch tl := n.Layers[i].(type) {
-		case ScratchLayer:
-			grad = tl.BackwardScratch(ws.layerScratch(i), ws.grads[i], grad)
-		case IntoLayer:
-			grad = tl.BackwardInto(ws.grads[i], grad)
-		default:
-			grad = n.Layers[i].Backward(grad)
-		}
+		s := ws.slots[i]
+		grad = n.Layers[i].Backward(&s.scratch, &s.grad, grad)
 	}
 	return grad
 }

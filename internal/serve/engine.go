@@ -90,13 +90,6 @@ type EngineConfig struct {
 	BatchWait time.Duration
 	// Seed keys the latent-sampling RNG streams (one split per worker).
 	Seed uint64
-	// Float32 serves forward passes on the float32 kernel tier: each
-	// worker compiles its mixture into a core.Mixture32 instead of cloning
-	// the float64 networks. Routing and latent draws stay float64, so the
-	// same seed produces the same sample-to-generator assignment; outputs
-	// agree with the float64 path only to float32 precision. A model with
-	// a layer the float32 tier cannot lower falls back to float64 serving.
-	Float32 bool
 }
 
 // withDefaults fills zero fields.
@@ -240,25 +233,6 @@ func (e *Engine) generate(ctx context.Context, n int) (*tensor.Mat, error) {
 	}
 }
 
-// sampler is the worker-side forward interface: a private float64 clone
-// (*core.Mixture) or a compiled float32 snapshot (*core.Mixture32).
-type sampler interface {
-	SampleWith(ws *core.SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat
-}
-
-// newSampler builds a worker's private sampler for the current model:
-// a compiled float32 mixture when the tier is enabled (falling back to a
-// float64 clone if any generator layer has no float32 lowering), else a
-// float64 clone.
-func (e *Engine) newSampler(m *Model) sampler {
-	if e.cfg.Float32 {
-		if c, err := core.CompileMixture32(m.proto); err == nil {
-			return c
-		}
-	}
-	return m.proto.Clone()
-}
-
 // worker runs forward passes over coalesced request batches on a private
 // clone of the mixture.
 func (e *Engine) worker(id uint64) {
@@ -268,7 +242,7 @@ func (e *Engine) worker(id uint64) {
 	// batch this worker ever runs (it is keyed to the goroutine, not the
 	// model, so it survives hot reloads).
 	sws := core.NewSampleWorkspace()
-	var local sampler
+	var local *core.Mixture
 	var version uint64
 	var name string
 	for {
@@ -286,7 +260,7 @@ func (e *Engine) worker(id uint64) {
 		batch := e.gather(first)
 		m := e.cur.Load()
 		if local == nil || version != m.Version || name != m.Name {
-			local = e.newSampler(m)
+			local = m.proto.Clone()
 			version, name = m.Version, m.Name
 		}
 		e.runBatch(local, m, batch, rng, sws)
@@ -334,7 +308,7 @@ func (e *Engine) gather(first *genRequest) []*genRequest {
 // worker's reusable sampling workspace; only the per-request result
 // matrices are allocated, because their ownership transfers to the
 // callers.
-func (e *Engine) runBatch(local sampler, m *Model, batch []*genRequest, rng *tensor.RNG, sws *core.SampleWorkspace) {
+func (e *Engine) runBatch(local *core.Mixture, m *Model, batch []*genRequest, rng *tensor.RNG, sws *core.SampleWorkspace) {
 	// Drop requests whose caller already gave up.
 	live := batch[:0]
 	for _, r := range batch {

@@ -169,11 +169,14 @@ func TestConcurrentReloadNoTornSwap(t *testing.T) {
 			if i%2 == 1 {
 				art = a
 			}
+			// Raise the bound before the swap: a request may be served by
+			// the new version as soon as Load publishes it, before Load
+			// returns.
+			maxVersion.Store(uint64(i + 2))
 			if err := reg.Load("digits", art); err != nil {
 				reloadDone <- err
 				return
 			}
-			maxVersion.Store(uint64(i + 2))
 			time.Sleep(2 * time.Millisecond)
 		}
 		reloadDone <- nil

@@ -100,32 +100,6 @@ func BenchmarkMatMulT2Into(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulInto32(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		a := Narrow(benchMat(n, n, 1))
-		c := Narrow(benchMat(n, n, 2))
-		dst := New32(n, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.SetBytes(int64(4 * n * n * n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulInto32(dst, a, c)
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulT2Into32(b *testing.B) {
-	a := Narrow(benchMat(100, 784, 1))
-	c := Narrow(benchMat(256, 784, 2))
-	dst := New32(100, 256)
-	b.SetBytes(int64(4 * 100 * 784 * 256))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMulT2Into32(dst, a, c)
-	}
-}
-
 func BenchmarkAddScaled(b *testing.B) {
 	x := benchMat(256, 784, 1)
 	y := benchMat(256, 784, 2)

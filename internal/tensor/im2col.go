@@ -77,10 +77,8 @@ func im2colRange(dst, img *Mat, g convGeom, lo, hi int) {
 
 // col2imKernel scatter-adds patch rows of cols back into samples [lo, hi)
 // of dst, in (position, column) order per sample, dropping out-of-bounds
-// taps. Generic core shared by the float64 path and the float32 serving
-// tier (AddCol2ImInto32); imgCols and fan are the row widths of dst and
-// cols respectively.
-func col2imKernel[F Float](dst, cols []F, imgCols, fan int, g convGeom, lo, hi int) {
+// taps. imgCols and fan are the row widths of dst and cols respectively.
+func col2imKernel(dst, cols []float64, imgCols, fan int, g convGeom, lo, hi int) {
 	pos := g.posH * g.posW
 	for bi := lo; bi < hi; bi++ {
 		out := dst[bi*imgCols : (bi+1)*imgCols]

@@ -2,12 +2,8 @@ package tensor
 
 import "unsafe"
 
-// This file holds the cache-blocked, register-unrolled kernel cores shared
-// by the float64 matmul family (matmul.go) and the opt-in float32 serving
-// tier (matmul32.go). The cores are generic over the element type: Go
-// instantiates one copy per element width, so the float64 path compiles to
-// exactly the code it had when it was hand-written, and the float32 path
-// reuses the same loop structure at half the memory traffic.
+// This file holds the cache-blocked, register-unrolled kernel cores of the
+// matmul family (matmul.go).
 //
 // Determinism contract: for every output element the multiply-adds are
 // applied in ascending-k order with a single accumulator, exactly like the
@@ -15,19 +11,14 @@ import "unsafe"
 // (i, j) elements are in flight, never the per-element accumulation order,
 // and the 4-wide unrolls issue their four multiply-adds sequentially.
 // Together with the deterministic chunk decomposition of parallelRun this
-// keeps the float64 path bit-exact across tile-size changes, worker counts
-// and the allocating/destination-passing forms.
+// keeps every kernel bit-exact across tile-size changes, worker counts and
+// the allocating/destination-passing forms.
 //
 // Zero-operand terms are NOT skipped: 0·NaN and 0·±Inf are NaN and must
 // propagate so divergence shows up in losses instead of being silently
 // swallowed (see the non-finite regression tests). Skipping was also
 // value-identical for finite data only by accident of IEEE signed-zero
 // rules; the tiled kernels drop it everywhere.
-
-// Float constrains the kernel element types: float64 is the training
-// default, float32 the serving tier where bit-parity with training does
-// not matter.
-type Float interface{ float32 | float64 }
 
 // Tile sizes. kernelKC rows of b are kept hot across a sweep of output
 // rows (the k-tile); kernelJC bounds the output columns touched per tile
@@ -45,7 +36,7 @@ const (
 // with the four multiply-adds applied sequentially (ascending k), loading
 // and storing each c element once per quad — the register micro-kernel of
 // the ikj family.
-func mulAddRow4[F Float](crow, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) {
+func mulAddRow4(crow, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	b0 = b0[:len(crow)]
 	b1 = b1[:len(crow)]
 	b2 = b2[:len(crow)]
@@ -60,7 +51,7 @@ func mulAddRow4[F Float](crow, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) {
 }
 
 // mulAddRow1 is the k-remainder form: crow[j] += av·brow[j].
-func mulAddRow1[F Float](crow, brow []F, av F) {
+func mulAddRow1(crow, brow []float64, av float64) {
 	brow = brow[:len(crow)]
 	for j, cv := range crow {
 		crow[j] = cv + av*brow[j]
@@ -73,7 +64,7 @@ func mulAddRow1[F Float](crow, brow []F, av F) {
 // paths). Loop order: k-tile → j-tile → output row → 4-wide k → j, so a
 // kernelKC×kernelJC block of b is reused across every output row of the
 // range while each element still accumulates in ascending-k order.
-func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int) {
+func matMulKernel(c, a, b []float64, aCols, bCols int, zero bool, lo, hi int) {
 	if zero {
 		for i := lo; i < hi; i++ {
 			crow := c[i*bCols : (i+1)*bCols]
@@ -119,7 +110,7 @@ func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int)
 // is aRows×bCols, c is aCols×bCols): c[i][j] = Σ_k a[k][i]·b[k][j]. Same
 // tiling as matMulKernel; the a operand is read down a column (stride
 // aCols), four taps per quad, amortised over a full b-row segment.
-func matMulT1Kernel[F Float](c, a, b []F, aRows, aCols, bCols int, zero bool, lo, hi int) {
+func matMulT1Kernel(c, a, b []float64, aRows, aCols, bCols int, zero bool, lo, hi int) {
 	if zero {
 		for i := lo; i < hi; i++ {
 			crow := c[i*bCols : (i+1)*bCols]
@@ -167,7 +158,7 @@ func matMulT1Kernel[F Float](c, a, b []F, aRows, aCols, bCols int, zero bool, lo
 // accumulators from one contiguous stream and reads each a-row once per
 // quad. The packing cost is amortised over the whole [lo, hi) row range.
 // panel must have length ≥ 4·aCols.
-func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []F) {
+func matMulT2Kernel(c, a, b []float64, aCols, bRows int, lo, hi int, panel []float64) {
 	j := 0
 	for ; j+4 <= bRows; j += 4 {
 		b0 := b[j*aCols : (j+1)*aCols]
@@ -183,7 +174,7 @@ func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []
 		}
 		for i := lo; i < hi; i++ {
 			arow := a[i*aCols : (i+1)*aCols]
-			var s0, s1, s2, s3 F
+			var s0, s1, s2, s3 float64
 			for k, av := range arow {
 				q := p[4*k : 4*k+4 : 4*k+4]
 				s0 += av * q[0]
@@ -202,7 +193,7 @@ func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []
 		brow := b[j*aCols : (j+1)*aCols]
 		for i := lo; i < hi; i++ {
 			arow := a[i*aCols : (i+1)*aCols]
-			var s F
+			var s float64
 			for k, av := range arow {
 				s += av * brow[k]
 			}
@@ -213,7 +204,7 @@ func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []
 
 // sliceRange returns the backing address range [lo, hi) of d, or (0, 0)
 // for an empty slice.
-func sliceRange[F Float](d []F) (uintptr, uintptr) {
+func sliceRange(d []float64) (uintptr, uintptr) {
 	if len(d) == 0 {
 		return 0, 0
 	}
@@ -224,7 +215,7 @@ func sliceRange[F Float](d []F) (uintptr, uintptr) {
 // slicesOverlap reports whether two slices share any backing element —
 // including partially overlapping FromSlice views of one array, which the
 // old first-element identity check missed.
-func slicesOverlap[F Float](a, b []F) bool {
+func slicesOverlap(a, b []float64) bool {
 	aLo, aHi := sliceRange(a)
 	bLo, bHi := sliceRange(b)
 	return aLo < bHi && bLo < aHi
